@@ -693,7 +693,6 @@ impl<'g> DistanceRequest<'g> {
         // paper's "+1" doesn't pay.
         let (execution, gather_rounds) = match report.stats {
             ExecutionStats::Mpc(ref stats) => {
-                let mut metrics = stats.metrics.clone();
                 // The gather runs on the same executor as the build, so
                 // a threaded run also prices it into the net report.
                 let executor = match self.spanner.backend() {
@@ -703,23 +702,10 @@ impl<'g> DistanceRequest<'g> {
                 let mut sys = MpcSystem::with_executor(stats.config, executor);
                 let ids: Vec<u64> = result.edges.iter().map(|&id| id as u64).collect();
                 let dist = Dist::distribute(&mut sys, ids)?;
-                let before = sys.metrics().clone();
                 comm::gather_to_machine(&mut sys, dist, 0, "apsp.collect")?;
-                let after = sys.metrics();
-                let gather_rounds = after.rounds - before.rounds;
-                metrics.rounds += gather_rounds;
-                *metrics.rounds_by_op.entry("apsp.collect").or_insert(0) += gather_rounds;
-                metrics.total_comm_words += after.total_comm_words - before.total_comm_words;
-                metrics.max_send_words = metrics.max_send_words.max(after.max_send_words);
-                metrics.max_recv_words = metrics.max_recv_words.max(after.max_recv_words);
-                metrics.critical_send_words +=
-                    after.critical_send_words - before.critical_send_words;
-                metrics.critical_recv_words +=
-                    after.critical_recv_words - before.critical_recv_words;
-                metrics.critical_link_words +=
-                    after.critical_link_words - before.critical_link_words;
-                metrics.peak_machine_words =
-                    metrics.peak_machine_words.max(after.peak_machine_words);
+                let gather_rounds = sys.rounds();
+                let mut metrics = stats.metrics.clone();
+                metrics.absorb(sys.metrics());
                 let net = match (&stats.net, sys.net_report()) {
                     (Some(build), Some(gather)) => {
                         let mut merged = build.clone();

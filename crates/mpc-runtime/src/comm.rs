@@ -45,6 +45,7 @@ pub fn route<T: Record>(
 ) -> Result<Dist<T>> {
     let p = sys.machines();
     let shards = d.into_shards();
+    check_shard_count(p, shards.len(), op)?;
 
     // Each source machine assembles its outboxes in parallel.
     let outboxes: Vec<Vec<(usize, T)>> = shards
@@ -82,6 +83,7 @@ pub fn route<T: Record>(
     let max_recv = received.iter().copied().max().unwrap_or(0);
     let total: u64 = sent.iter().map(|&x| x as u64).sum();
     sys.charge_round(op, max_sent, max_recv, total)?;
+    sys.observe_wire(&sent, &received);
 
     // Deliver deterministically: destination shards ordered by source
     // machine, then by position within the source shard.
@@ -95,6 +97,19 @@ pub fn route<T: Record>(
     };
     sys.check_all_storage(&new_shards, op)?;
     Ok(Dist::from_shards(new_shards))
+}
+
+/// Rejects a collection sharded for a deployment of a different size.
+fn check_shard_count(machines: usize, shards: usize, op: &'static str) -> Result<()> {
+    if shards != machines {
+        return Err(MpcError::ShapeMismatch {
+            what: "shards (one per machine)",
+            expected: machines,
+            got: shards,
+            op,
+        });
+    }
+    Ok(())
 }
 
 /// The delivery step shared by [`route`] / [`route_with`]: moves every
@@ -148,6 +163,7 @@ pub fn route_with<T: Record>(
 ) -> Result<Dist<T>> {
     let p = sys.machines();
     let shards = d.into_shards();
+    check_shard_count(p, shards.len(), op)?;
     if shards.len() != dests.len() {
         return Err(MpcError::ShapeMismatch {
             what: "destination vectors (one per machine)",
@@ -185,6 +201,7 @@ pub fn route_with<T: Record>(
     let max_recv = received.iter().copied().max().unwrap_or(0);
     let total: u64 = sent.iter().map(|&x| x as u64).sum();
     sys.charge_round(op, max_sent, max_recv, total)?;
+    sys.observe_wire(&sent, &received);
 
     let outboxes: Vec<Vec<(usize, T)>> = shards
         .into_par_iter()
@@ -248,19 +265,9 @@ pub fn reduce_tree<T: Record>(
     // (group leaders keep their machine as levels shrink).
     let mut machine_of: Vec<usize> = (0..level.len()).collect();
     while level.len() > 1 {
-        // Each group of f consecutive nodes sends to its leader. The
-        // charge tally is shared by both executors.
+        // Each group of f consecutive nodes sends to its leader.
         let groups = level.len().div_ceil(f);
-        let mut max_recv = 0usize;
-        let mut total = 0u64;
-        for g in 0..groups {
-            let lo = g * f;
-            let hi = (lo + f).min(level.len());
-            let incoming = (hi - lo - 1) * T::WORDS;
-            max_recv = max_recv.max(incoming);
-            total += incoming as u64;
-        }
-        sys.charge_round(op, T::WORDS, max_recv, total)?;
+        charge_gather_level::<T>(sys, &machine_of, f, op)?;
 
         // Group members, delivered to each leader: physically through
         // the router (threaded) or by slicing the level (loop). The
@@ -305,6 +312,35 @@ pub fn reduce_tree<T: Record>(
         .into_iter()
         .next()
         .expect("reduction of >=1 summaries is non-empty"))
+}
+
+/// Charges one up-sweep level of an f-ary aggregation tree: each group
+/// of `f` consecutive summaries (summary `i` held on machine
+/// `machine_of[i]`) sends to its leader, the group's first machine. The
+/// leader's own summary stays put, so it is free on the wire.
+fn charge_gather_level<T: Record>(
+    sys: &mut MpcSystem,
+    machine_of: &[usize],
+    f: usize,
+    op: &'static str,
+) -> Result<()> {
+    let p = sys.machines();
+    let mut sent = vec![0usize; p];
+    let mut received = vec![0usize; p];
+    let mut max_recv = 0usize;
+    let mut total = 0u64;
+    for group in machine_of.chunks(f) {
+        let incoming = (group.len() - 1) * T::WORDS;
+        max_recv = max_recv.max(incoming);
+        total += incoming as u64;
+        received[group[0]] += incoming;
+        for &member in &group[1..] {
+            sent[member] += T::WORDS;
+        }
+    }
+    sys.charge_round(op, T::WORDS, max_recv, total)?;
+    sys.observe_wire(&sent, &received);
+    Ok(())
 }
 
 /// Tree broadcast (the paper's **Broadcast** subroutine): replicates a
@@ -360,6 +396,22 @@ pub fn broadcast_all<T: Record>(
             per_round_total + leftover,
         )?;
     }
+    // On the wire the payload travels the unpipelined tree: in wave
+    // `cover → cover·f`, machine `j` fetches it from `j % cover`. That
+    // moves the same (p-1)·payload total the loop above priced into the
+    // pipelined round schedule.
+    let mut sent = vec![0usize; p];
+    let mut received = vec![0usize; p];
+    let mut cover = 1usize;
+    while cover < p {
+        let next_cover = cover.saturating_mul(f).min(p);
+        for j in cover..next_cover {
+            sent[j % cover] += payload_words;
+            received[j] += payload_words;
+        }
+        cover = next_cover;
+    }
+    sys.observe_wire(&sent, &received);
     // Threaded executor: physically replicate along the f-ary tree. The
     // waves follow the unpipelined tree (depth waves, machine j fetches
     // from j % cover), moving the same (p-1)·payload total the charge
@@ -421,19 +473,8 @@ pub fn machine_scan<T: Record>(
             break;
         }
         let groups = cur_len.div_ceil(f);
-        // Shared charge tally: each leader receives its group members.
-        let mut max_recv = 0usize;
-        let mut total = 0u64;
-        for g in 0..groups {
-            let lo = g * f;
-            let hi = (lo + f).min(cur_len);
-            let incoming = (hi - lo - 1) * T::WORDS;
-            max_recv = max_recv.max(incoming);
-            total += incoming as u64;
-        }
-        sys.charge_round(op, T::WORDS, max_recv, total)?;
-
         let cur_map = maps.last().expect("non-empty").clone();
+        charge_gather_level::<T>(sys, &cur_map, f, op)?;
         let grouped: Vec<Vec<T>> = match sys.pool_handle() {
             Some(pool) => {
                 let cur = levels.last().expect("non-empty");
@@ -497,6 +538,20 @@ pub fn machine_scan<T: Record>(
             }
         }
         sys.charge_round(op, max_sent, T::WORDS, total)?;
+        // Each parent sends every child its prefix; the leader child is
+        // the parent's own machine, so that hop is free on the wire (the
+        // charge above keeps the model's "leader informs its group"
+        // formula).
+        let mut sent = vec![0usize; p];
+        let mut received = vec![0usize; p];
+        for (i, &child) in maps[lvl].iter().enumerate() {
+            let parent = maps[lvl + 1][i / f];
+            if parent != child {
+                sent[parent] += T::WORDS;
+                received[child] += T::WORDS;
+            }
+        }
+        sys.observe_wire(&sent, &received);
         // Threaded executor: each parent physically sends every child
         // its prefix (the leader child is the parent's own machine, so
         // that hop is free on the wire; the charge above keeps the

@@ -52,11 +52,8 @@ impl<T: Record> Dist<T> {
         for (i, chunk) in items.chunks(per).enumerate() {
             shards[i] = chunk.to_vec();
         }
-        let d = Dist { shards };
-        let mut sys2 = sys.clone();
-        sys2.check_all_storage(&d.shards, "distribute")?;
-        *sys = sys2;
-        Ok(d)
+        sys.check_all_storage(&shards, "distribute")?;
+        Ok(Dist { shards })
     }
 
     /// Builds a collection from explicit shards (used by the comm layer).

@@ -53,6 +53,7 @@ pub mod config;
 pub mod dist;
 pub mod error;
 pub mod metrics;
+pub mod net;
 pub mod primitives;
 pub mod record;
 pub mod system;
@@ -61,9 +62,8 @@ pub use config::{MemoryRegime, MpcConfig};
 pub use dist::Dist;
 pub use error::MpcError;
 pub use metrics::Metrics;
+pub use net::{NetReport, NetworkModel, WORD_BYTES};
 pub use record::Record;
-pub use spanner_net as net;
-pub use spanner_net::{NetReport, NetworkModel, WORD_BYTES};
 pub use system::{ExecutorKind, MpcSystem};
 
 /// Crate-wide result type.

@@ -8,7 +8,11 @@
 //! by the link bandwidth.
 //!
 //! Models never read the host clock — the simulated time is a pure
-//! function of the traffic the runtime measured.
+//! function of the traffic the runtime measured, so a run is priced
+//! after the fact from its [`Metrics`] ([`NetworkModel::report`]).
+
+use crate::metrics::Metrics;
+use crate::net::NetReport;
 
 /// Bytes per machine word (the runtime accounts traffic in 64-bit words).
 pub const WORD_BYTES: u64 = 8;
@@ -46,12 +50,37 @@ impl NetworkModel {
                 bytes_per_sec,
             } => {
                 let critical = max_sent_bytes.max(max_recv_bytes) as f64;
-                // analyze:allow(panic-path): f64 operands — float division cannot trap
                 latency_s + critical / bytes_per_sec
             }
             NetworkModel::Switched {
                 bisection_bytes_per_sec,
             } => total_bytes as f64 / bisection_bytes_per_sec,
+        }
+    }
+
+    /// Prices a run: charges every round of `metrics.round_traffic` with
+    /// [`Self::round_cost`], in execution order, and converts the
+    /// per-machine wire counters to bytes.
+    pub fn report(&self, metrics: &Metrics) -> NetReport {
+        let round_times: Vec<f64> = metrics
+            .round_traffic
+            .iter()
+            .map(|&(sent, recv, total)| {
+                self.round_cost(sent * WORD_BYTES, recv * WORD_BYTES, total * WORD_BYTES)
+            })
+            .collect();
+        let mut total_seconds = 0.0;
+        for &t in &round_times {
+            total_seconds += t;
+        }
+        let bytes = |words: &[u64]| words.iter().map(|&w| w * WORD_BYTES).collect();
+        NetReport {
+            machines: metrics.sent_words.len(),
+            rounds: round_times.len() as u64,
+            sent_bytes: bytes(&metrics.sent_words),
+            recv_bytes: bytes(&metrics.recv_words),
+            round_times,
+            total_seconds,
         }
     }
 

@@ -49,10 +49,10 @@ impl NetReport {
     /// wire counters.
     pub fn add_traffic_words(&mut self, sent_words: &[u64], recv_words: &[u64]) {
         for (acc, &w) in self.sent_bytes.iter_mut().zip(sent_words) {
-            *acc += w * crate::WORD_BYTES;
+            *acc += w * crate::net::WORD_BYTES;
         }
         for (acc, &w) in self.recv_bytes.iter_mut().zip(recv_words) {
-            *acc += w * crate::WORD_BYTES;
+            *acc += w * crate::net::WORD_BYTES;
         }
     }
 

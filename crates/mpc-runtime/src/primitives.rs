@@ -335,11 +335,8 @@ pub fn aggregate_by_key<T: Record, V: Record>(
             map.into_iter().collect()
         })
         .collect();
-    let out = Dist::from_shards(folded);
-    let mut sys2 = sys.clone();
-    sys2.check_all_storage(out.shards(), op)?;
-    *sys = sys2;
-    Ok(out)
+    sys.check_all_storage(&folded, op)?;
+    Ok(Dist::from_shards(folded))
 }
 
 /// Global record count via the aggregation tree.

@@ -3,11 +3,12 @@
 
 use std::sync::Arc;
 
-use spanner_net::{MachinePool, NetReport, NetworkModel, WORD_BYTES};
+use spanner_net::MachinePool;
 
 use crate::config::MpcConfig;
 use crate::error::MpcError;
 use crate::metrics::Metrics;
+use crate::net::{NetReport, NetworkModel, WORD_BYTES};
 use crate::record::Record;
 use crate::Result;
 
@@ -67,7 +68,7 @@ impl MpcSystem {
         };
         MpcSystem {
             cfg,
-            metrics: Metrics::default(),
+            metrics: Metrics::new(cfg.num_machines),
             net,
         }
     }
@@ -125,7 +126,7 @@ impl MpcSystem {
     /// Resets metrics and the network report (e.g. to time a phase in
     /// isolation).
     pub fn reset_metrics(&mut self) {
-        self.metrics = Metrics::default();
+        self.metrics = Metrics::new(self.cfg.num_machines);
         if let Some(net) = &mut self.net {
             net.report = NetReport::new(self.cfg.num_machines);
         }
@@ -172,36 +173,35 @@ impl MpcSystem {
         Ok(())
     }
 
-    /// Validates that machine `idx` may hold `words` words; records the
-    /// observation into the peak-storage metric.
-    pub(crate) fn check_storage(
-        &mut self,
-        machine: usize,
-        words: usize,
-        op: &'static str,
-    ) -> Result<()> {
-        self.metrics.observe_storage(words);
-        let cap = self.cfg.capacity();
-        if words > cap {
-            return Err(MpcError::MemoryExceeded {
-                machine,
-                words,
-                capacity: cap,
-                op,
-            });
-        }
-        Ok(())
+    /// Records one exchange's per-machine wire words (self-delivery
+    /// excluded by the caller) into the metrics.
+    pub(crate) fn observe_wire(&mut self, sent: &[usize], recv: &[usize]) {
+        self.metrics.observe_wire(sent, recv);
     }
 
-    /// Validates the storage of every shard of a collection.
+    /// Validates the storage of every shard of a collection, then
+    /// records the largest into the peak-storage metric. A failed check
+    /// records nothing.
     pub(crate) fn check_all_storage<T: Record>(
         &mut self,
         shards: &[Vec<T>],
         op: &'static str,
     ) -> Result<()> {
-        for (i, shard) in shards.iter().enumerate() {
-            self.check_storage(i, shard.len() * T::WORDS, op)?;
+        let cap = self.cfg.capacity();
+        let mut largest = 0;
+        for (machine, shard) in shards.iter().enumerate() {
+            let words = shard.len() * T::WORDS;
+            if words > cap {
+                return Err(MpcError::MemoryExceeded {
+                    machine,
+                    words,
+                    capacity: cap,
+                    op,
+                });
+            }
+            largest = largest.max(words);
         }
+        self.metrics.observe_storage(largest);
         Ok(())
     }
 }
@@ -223,11 +223,24 @@ mod tests {
 
     #[test]
     fn storage_check_enforces_capacity() {
+        // Capacity 16 words per machine.
         let mut sys = MpcSystem::new(MpcConfig::explicit(8, 2, 2));
-        sys.check_storage(0, 16, "x").unwrap();
-        let err = sys.check_storage(1, 17, "x").unwrap_err();
-        assert!(matches!(err, MpcError::MemoryExceeded { machine: 1, .. }));
-        assert_eq!(sys.metrics().peak_machine_words, 17);
+        sys.check_all_storage(&[vec![0u64; 16], vec![0u64; 3]], "x")
+            .unwrap();
+        assert_eq!(sys.metrics().peak_machine_words, 16);
+        let err = sys
+            .check_all_storage(&[vec![0u64; 2], vec![0u64; 17]], "x")
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            MpcError::MemoryExceeded {
+                machine: 1,
+                words: 17,
+                ..
+            }
+        ));
+        // Every shard is validated before anything is recorded.
+        assert_eq!(sys.metrics().peak_machine_words, 16);
     }
 
     #[test]
@@ -248,7 +261,7 @@ mod tests {
 
     #[test]
     fn threaded_executor_prices_every_round() {
-        let model = spanner_net::NetworkModel::FullMesh {
+        let model = NetworkModel::FullMesh {
             latency_s: 1e-3,
             bytes_per_sec: 1e6,
         };

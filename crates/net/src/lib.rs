@@ -16,13 +16,9 @@
 //! `lock-audit` feature to check the executor's lock discipline.
 
 pub mod exchange;
-pub mod model;
 pub mod pool;
-pub mod report;
 pub mod router;
 
 pub use exchange::exchange;
-pub use model::{NetworkModel, WORD_BYTES};
 pub use pool::{MachinePool, RoundBarrier};
-pub use report::NetReport;
 pub use router::Router;

@@ -54,6 +54,11 @@ fn assert_accounting_identical(loop_sys: &MpcSystem, threaded: &MpcSystem, model
     let m = threaded.metrics();
     let report = threaded.net_report().expect("threaded runs carry a report");
     assert_eq!(
+        &model.report(loop_sys.metrics()),
+        report,
+        "read-side pricing of the loop metrics must equal the threaded clock"
+    );
+    assert_eq!(
         report.rounds, m.rounds,
         "every charged round must be priced"
     );
@@ -197,6 +202,7 @@ proptest! {
             )
         };
         let one = at_threads(1, run);
+        prop_assert_eq!(&MESH.report(&one.1), &one.2);
         let eight = at_threads(8, run);
         prop_assert_eq!(&one.0, &eight.0);
         prop_assert_eq!(&one.1, &eight.1);
@@ -222,6 +228,7 @@ fn pipeline_spanner_is_executor_invariant() {
     let ls = loop_run.stats.mpc().unwrap();
     let ts = threaded_run.stats.mpc().unwrap();
     assert_eq!(ls.metrics, ts.metrics, "identical accounting end to end");
+    assert_eq!(Some(MESH.report(&ls.metrics)), ts.net, "spanner report");
     assert!(ls.predicted_time.is_none(), "loop runs predict nothing");
     let report = ts.net.as_ref().expect("threaded runs carry a NetReport");
     assert_eq!(report.rounds, ts.metrics.rounds);
@@ -255,6 +262,7 @@ fn pipeline_oracle_is_executor_invariant() {
     let ls = loop_oracle.stats().execution.mpc().unwrap();
     let ts = threaded_oracle.stats().execution.mpc().unwrap();
     assert_eq!(ls.metrics, ts.metrics);
+    assert_eq!(Some(MESH.report(&ls.metrics)), ts.net, "oracle report");
     let report = ts.net.as_ref().expect("threaded oracle carries a report");
     assert_eq!(
         report.rounds, ts.metrics.rounds,
@@ -277,7 +285,13 @@ fn full_mesh_prediction_is_monotone_on_a_real_run() {
             }))
             .run()
             .unwrap();
-        run.stats.mpc().unwrap().predicted_time.unwrap()
+        let stats = run.stats.mpc().unwrap();
+        let model = NetworkModel::FullMesh {
+            latency_s,
+            bytes_per_sec,
+        };
+        assert_eq!(Some(model.report(&stats.metrics)), stats.net);
+        stats.predicted_time.unwrap()
     };
     let base = predict(1e-4, 1e9);
     assert!(
