@@ -64,7 +64,7 @@ pub struct Call {
 pub struct FnInfo {
     /// Base name (`spawn`).
     pub name: String,
-    /// Scope-qualified name (`MachinePool::spawn`, `tests::smoke`).
+    /// Scope-qualified name (`JobQueue::submit`, `tests::smoke`).
     pub qual: String,
     /// 1-based line of the name token.
     pub line: u32,

@@ -95,7 +95,7 @@ pub struct Options {
     /// Keep only these lints (`--only determinism-taint,panic-path`).
     pub only: Option<BTreeSet<String>>,
     /// Keep only findings in files matching any of these globs
-    /// (`--files 'crates/net/**'`). `*` matches within one path
+    /// (`--files 'crates/mpc-runtime/**'`). `*` matches within one path
     /// segment, `**` across segments, `?` one character.
     pub files: Option<Vec<String>>,
 }
@@ -250,7 +250,7 @@ mod tests {
                     .to_string(),
             ),
             (
-                PathBuf::from("crates/net/src/virtualfile.rs"),
+                PathBuf::from("crates/mpc-runtime/src/virtualfile.rs"),
                 "pub fn g() { let t = Instant::now(); let _ = t; }".to_string(),
             ),
         ];
@@ -270,7 +270,10 @@ mod tests {
 
     #[test]
     fn glob_patterns_match_like_unix_paths() {
-        assert!(glob_match("crates/net/**", "crates/net/src/pool.rs"));
+        assert!(glob_match(
+            "crates/mpc-runtime/**",
+            "crates/mpc-runtime/src/comm.rs"
+        ));
         assert!(glob_match(
             "**/queue.rs",
             "crates/core/src/pipeline/queue.rs"
@@ -299,7 +302,7 @@ mod tests {
                     .to_string(),
             ),
             (
-                PathBuf::from("crates/net/src/virtualfile.rs"),
+                PathBuf::from("crates/mpc-runtime/src/virtualfile.rs"),
                 "pub fn g() { let t = Instant::now(); let _ = t; }".to_string(),
             ),
         ];
@@ -313,14 +316,14 @@ mod tests {
 
         let files = Options {
             only: None,
-            files: Some(vec!["crates/net/**".to_string()]),
+            files: Some(vec!["crates/mpc-runtime/**".to_string()]),
         };
         let report = analyze_sources_with(&sources, &files);
         assert!(!report.findings.is_empty());
         assert!(report
             .findings
             .iter()
-            .all(|f| f.file.starts_with("crates/net/")));
+            .all(|f| f.file.starts_with("crates/mpc-runtime/")));
     }
 
     #[test]

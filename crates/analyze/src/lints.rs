@@ -5,7 +5,7 @@
 //! `#[test]` fn or `#[cfg(test)]` mod) instead of by the old
 //! "everything after the first `#[cfg(test)]` line" heuristic.
 //!
-//! * **raw-sync** — `Mutex/Condvar/RwLock::new` in pipeline/net code;
+//! * **raw-sync** — `Mutex/Condvar/RwLock::new` in pipeline code;
 //!   use the tracked primitives from `spanner_core::sync`.
 //! * **stray-spawn** — `thread::spawn` / `thread::Builder` outside the
 //!   sanctioned nurseries and outside test code.
@@ -41,7 +41,7 @@ impl Lint {
     pub fn message(self) -> &'static str {
         match self {
             Lint::RawSync => {
-                "raw std::sync primitive constructed in pipeline/net code — use the tracked \
+                "raw std::sync primitive constructed in pipeline code — use the tracked \
                  primitives from spanner_core::sync so lock-audit builds see it"
             }
             Lint::StraySpawn => {
@@ -75,14 +75,12 @@ pub fn is_test_like_path(path: &Path) -> bool {
 /// Run all four lints over one indexed file.
 pub fn run(file: &FileIndex) -> (Vec<Finding>, Vec<Waived>) {
     let rel = &file.rel;
-    let tracked_sync_scope =
-        path_has_prefix(rel, "crates/core/src/pipeline") || path_has_prefix(rel, "crates/net/src");
+    let tracked_sync_scope = path_has_prefix(rel, "crates/core/src/pipeline");
     let spawn_exempt = path_has_prefix(rel, "vendor/rayon")
         || path_has_prefix(rel, "vendor/interleave")
         || path_has_prefix(rel, "xtask")
         || is_test_like_path(rel);
     let model_code = path_has_prefix(rel, "crates/mpc-runtime")
-        || path_has_prefix(rel, "crates/net")
         || rel == Path::new("crates/core/src/pipeline/clique.rs")
         || rel == Path::new("crates/core/src/pipeline/pram_cost.rs");
 
@@ -166,17 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn raw_sync_fires_in_pipeline_and_net_but_not_elsewhere() {
+    fn raw_sync_fires_in_pipeline_but_not_elsewhere() {
         let src = "pub fn build() { let m = Mutex::new(0); let _ = m; }";
-        for rel in [
-            "crates/core/src/pipeline/seeded.rs",
-            "crates/net/src/seeded.rs",
-        ] {
-            assert!(
-                lints_fired(rel, src).contains(&"raw-sync".to_string()),
-                "{rel}"
-            );
-        }
+        assert!(lints_fired("crates/core/src/pipeline/seeded.rs", src)
+            .contains(&"raw-sync".to_string()));
         assert!(lints_fired("crates/graph/src/seeded.rs", src).is_empty());
     }
 
@@ -233,7 +224,6 @@ mod tests {
         let src = "pub fn cost() { let t = Instant::now(); let _ = t; }";
         for rel in [
             "crates/mpc-runtime/src/seeded.rs",
-            "crates/net/src/seeded.rs",
             "crates/core/src/pipeline/clique.rs",
             "crates/core/src/pipeline/pram_cost.rs",
         ] {
@@ -268,7 +258,7 @@ mod tests {
                 let _ = m;
             }
         ";
-        let file = index_file(&PathBuf::from("crates/net/src/seeded.rs"), src);
+        let file = index_file(&PathBuf::from("crates/core/src/pipeline/seeded.rs"), src);
         let (findings, waived) = run(&file);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(waived.len(), 1);

@@ -1,9 +1,8 @@
 //! Panic-path audit for the serving stack.
 //!
-//! The job-queue front door (`pipeline/{service,queue,shard}.rs`) and
-//! the threaded executor (`crates/net`) are the code that runs on
-//! behalf of *other* tenants' requests: a panic there doesn't just fail
-//! one computation, it can poison a lock, wedge a round barrier, or
+//! The job-queue front door (`pipeline/{service,queue,shard}.rs`) is
+//! the code that runs on behalf of *other* tenants' requests: a panic
+//! there doesn't just fail one computation, it can poison a lock or
 //! take down a worker thread that the whole queue depends on. So every
 //! potential panic site on those paths must either be refactored to a
 //! typed error or carry an explicit justification:
@@ -47,7 +46,6 @@ pub fn in_scope(rel: &Path) -> bool {
     s == "crates/core/src/pipeline/service.rs"
         || s == "crates/core/src/pipeline/queue.rs"
         || s == "crates/core/src/pipeline/shard.rs"
-        || s.starts_with("crates/net/src")
 }
 
 pub fn run(files: &[FileIndex], graph: &Graph) -> (Vec<Finding>, Vec<Waived>) {
@@ -395,7 +393,7 @@ mod tests {
             );
         }
         for rel in [
-            "crates/net/src/exchange.rs",
+            "crates/core/src/pipeline/service.rs",
             "crates/core/src/pipeline/shard.rs",
         ] {
             assert_eq!(findings(rel, src).len(), 1, "{rel} should be in scope");

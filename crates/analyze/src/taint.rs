@@ -17,7 +17,7 @@
 //!
 //! then walks the over-approximate call graph forward from the
 //! *result-producing roots* (every non-test fn in `crates/core`,
-//! `crates/mpc-runtime`, `crates/net`, `crates/graph`) and reports any
+//! `crates/mpc-runtime`, `crates/graph`) and reports any
 //! reachable, unwaived source site, with one shortest call chain as
 //! evidence. Waive a site that is genuinely order-insensitive (e.g. the
 //! iteration feeds a sort, or only observability) with
@@ -52,12 +52,11 @@ const ITER_METHODS: &[&str] = &[
 ];
 
 /// Result-producing root scopes: the serving pipeline, the MPC
-/// runtimes, the threaded executor, and graph/spanner construction.
+/// runtime, and graph/spanner construction.
 pub fn is_root_file(rel: &Path) -> bool {
     [
         "crates/core/src",
         "crates/mpc-runtime/src",
-        "crates/net/src",
         "crates/graph/src",
     ]
     .iter()

@@ -34,7 +34,7 @@
 //! per iteration it is `O(1/γ)`, matching Lemma 6.1.
 
 use mpc_runtime::primitives::{aggregate_by_key, sort_by_key};
-use mpc_runtime::{comm, primitives, Dist, ExecutorKind, MpcConfig, MpcSystem, Record};
+use mpc_runtime::{comm, primitives, Dist, MpcConfig, MpcSystem, Record};
 use spanner_graph::edge::EdgeId;
 use spanner_graph::Graph;
 
@@ -64,8 +64,6 @@ pub struct MpcSpannerRun {
     pub metrics: mpc_runtime::Metrics,
     /// The deployment used.
     pub config: MpcConfig,
-    /// The simulated-network report, when the threaded executor ran.
-    pub net: Option<mpc_runtime::NetReport>,
 }
 
 /// Runs the Section 5 algorithm on the MPC simulator in the strongly
@@ -97,27 +95,10 @@ pub fn mpc_general_spanner_with_config(
     config: MpcConfig,
     seed: u64,
 ) -> mpc_runtime::Result<MpcSpannerRun> {
-    mpc_general_spanner_with_executor(g, params, config, ExecutorKind::Loop, seed)
-}
-
-/// Same, additionally choosing the physical executor — e.g.
-/// `ExecutorKind::Threaded(NetworkModel::FullMesh { .. })` to run every
-/// machine on its own OS thread and predict cluster wall-clock (returned
-/// in [`MpcSpannerRun::net`]).
-pub fn mpc_general_spanner_with_executor(
-    g: &Graph,
-    params: TradeoffParams,
-    config: MpcConfig,
-    executor: ExecutorKind,
-    seed: u64,
-) -> mpc_runtime::Result<MpcSpannerRun> {
-    use crate::pipeline::{Algorithm, Backend, MpcDeployment, PipelineError};
+    use crate::pipeline::{Algorithm, Backend, PipelineError};
     assert!(params.k >= 1, "k must be at least 1");
     let report = crate::pipeline::SpannerRequest::new(g, Algorithm::General(params))
-        .on(Backend::Mpc {
-            deployment: MpcDeployment::Explicit(config),
-            executor,
-        })
+        .on(Backend::mpc_deployment(config))
         .seed(seed)
         .run()
         .map_err(|e| match e {
@@ -130,7 +111,6 @@ pub fn mpc_general_spanner_with_executor(
     Ok(MpcSpannerRun {
         metrics: stats.metrics.clone(),
         config: stats.config,
-        net: stats.net.clone(),
         result: report.result,
     })
 }
@@ -141,10 +121,9 @@ pub(crate) fn run_mpc(
     g: &Graph,
     params: TradeoffParams,
     config: MpcConfig,
-    executor: ExecutorKind,
     seed: u64,
 ) -> mpc_runtime::Result<MpcSpannerRun> {
-    let sys = MpcSystem::with_executor(config, executor);
+    let sys = MpcSystem::new(config);
     let algorithm = format!(
         "mpc-general(k={},t={},S={}w,P={})",
         params.k, params.t, config.machine_words, config.num_machines
@@ -154,7 +133,6 @@ pub(crate) fn run_mpc(
         return Ok(MpcSpannerRun {
             result: SpannerResult::whole_graph(g, algorithm),
             metrics: sys.metrics().clone(),
-            net: sys.net_report().cloned(),
             config,
         });
     }
@@ -207,7 +185,6 @@ pub(crate) fn run_mpc(
     Ok(MpcSpannerRun {
         result,
         metrics,
-        net: driver.sys.net_report().cloned(),
         config,
     })
 }

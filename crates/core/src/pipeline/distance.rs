@@ -693,36 +693,18 @@ impl<'g> DistanceRequest<'g> {
         // paper's "+1" doesn't pay.
         let (execution, gather_rounds) = match report.stats {
             ExecutionStats::Mpc(ref stats) => {
-                // The gather runs on the same executor as the build, so
-                // a threaded run also prices it into the net report.
-                let executor = match self.spanner.backend() {
-                    Backend::Mpc { executor, .. } => executor,
-                    _ => mpc_runtime::ExecutorKind::Loop,
-                };
-                let mut sys = MpcSystem::with_executor(stats.config, executor);
+                let mut sys = MpcSystem::new(stats.config);
                 let ids: Vec<u64> = result.edges.iter().map(|&id| id as u64).collect();
                 let dist = Dist::distribute(&mut sys, ids)?;
                 comm::gather_to_machine(&mut sys, dist, 0, "apsp.collect")?;
-                let gather_rounds = sys.rounds();
                 let mut metrics = stats.metrics.clone();
                 metrics.absorb(sys.metrics());
-                let net = match (&stats.net, sys.net_report()) {
-                    (Some(build), Some(gather)) => {
-                        let mut merged = build.clone();
-                        merged.absorb(gather);
-                        Some(merged)
-                    }
-                    (Some(build), None) => Some(build.clone()),
-                    (None, gather) => gather.cloned(),
-                };
                 (
                     ExecutionStats::Mpc(MpcStats {
                         metrics,
                         config: stats.config,
-                        predicted_time: net.as_ref().map(|r| r.total_seconds),
-                        net,
                     }),
-                    Some(gather_rounds),
+                    Some(sys.rounds()),
                 )
             }
             stats => (stats, None),

@@ -13,18 +13,16 @@
 //! position) order, which [`crate::primitives::sort_by_key`]'s rebalance
 //! step depends on — so results are identical at every thread count.
 //!
-//! Executors: every primitive charges rounds/traffic through shared code
-//! and only then moves the data, either in-process (`deliver`, the loop
-//! executor) or through the `spanner-net` thread-per-machine router
-//! ([`fn@spanner_net::exchange`], the threaded executor). The physical
-//! exchange delivers in the same (source machine, source position) order,
-//! so both executors are bit-identical; wire traffic observed by the
-//! exchange feeds the network report (self-delivery stays free, and
-//! synthetic pipelined rounds — e.g. chunked broadcast — are priced from
-//! the shared charge formulas even where the physical waves differ).
+//! Wire traffic: besides the per-round charge, every primitive records
+//! the words each machine puts on and takes off the wire
+//! ([`crate::Metrics::sent_words`] / [`crate::Metrics::recv_words`]) —
+//! the per-record hops of a route, the member-to-leader and
+//! parent-to-child hops of the trees (a leader's own hop is free), and
+//! the unpipelined waves of a broadcast. Synthetic pipelined rounds are
+//! charged from the round formulas alone, so a network model prices them
+//! even where the wire moves differently.
 
 use rayon::prelude::*;
-use spanner_net::exchange;
 
 use crate::dist::Dist;
 use crate::record::Record;
@@ -87,14 +85,7 @@ pub fn route<T: Record>(
 
     // Deliver deterministically: destination shards ordered by source
     // machine, then by position within the source shard.
-    let new_shards = match sys.pool_handle() {
-        Some(pool) => {
-            let (shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
-            sys.note_exchange_traffic(&sent_w, &recv_w);
-            shards
-        }
-        None => deliver(p, outboxes),
-    };
+    let new_shards = deliver(p, outboxes);
     sys.check_all_storage(&new_shards, op)?;
     Ok(Dist::from_shards(new_shards))
 }
@@ -214,14 +205,7 @@ pub fn route_with<T: Record>(
                 .collect()
         })
         .collect();
-    let new_shards = match sys.pool_handle() {
-        Some(pool) => {
-            let (shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
-            sys.note_exchange_traffic(&sent_w, &recv_w);
-            shards
-        }
-        None => deliver(p, outboxes),
-    };
+    let new_shards = deliver(p, outboxes);
     sys.check_all_storage(&new_shards, op)?;
     Ok(Dist::from_shards(new_shards))
 }
@@ -266,52 +250,28 @@ pub fn reduce_tree<T: Record>(
     let mut machine_of: Vec<usize> = (0..level.len()).collect();
     while level.len() > 1 {
         // Each group of f consecutive nodes sends to its leader.
-        let groups = level.len().div_ceil(f);
         charge_gather_level::<T>(sys, &machine_of, f, op)?;
-
-        // Group members, delivered to each leader: physically through
-        // the router (threaded) or by slicing the level (loop). The
-        // exchange delivers in source-machine order, which is exactly
-        // the level order within each group.
-        let grouped: Vec<Vec<T>> = match sys.pool_handle() {
-            Some(pool) => {
-                let mut outboxes: Vec<Vec<(usize, T)>> =
-                    (0..pool.machines()).map(|_| Vec::new()).collect();
-                for (i, item) in level.iter().enumerate() {
-                    let leader = machine_of[(i / f) * f];
-                    outboxes[machine_of[i]].push((leader, item.clone()));
-                }
-                let (mut shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
-                sys.note_exchange_traffic(&sent_w, &recv_w);
-                (0..groups)
-                    .map(|g| std::mem::take(&mut shards[machine_of[g * f]]))
-                    .collect()
-            }
-            None => (0..groups)
-                .map(|g| {
-                    let lo = g * f;
-                    let hi = (lo + f).min(level.len());
-                    level[lo..hi].to_vec()
-                })
-                .collect(),
-        };
-        level = grouped
-            .into_iter()
-            .map(|group| {
-                let mut items = group.into_iter();
-                let mut acc = items.next().expect("groups are non-empty");
-                for item in items {
-                    acc = combine(&acc, &item);
-                }
-                acc
-            })
-            .collect();
-        machine_of = (0..groups).map(|g| machine_of[g * f]).collect();
+        level = combine_groups(&level, f, &combine);
+        machine_of = machine_of.into_iter().step_by(f).collect();
     }
     Ok(level
         .into_iter()
         .next()
         .expect("reduction of >=1 summaries is non-empty"))
+}
+
+/// Folds each group of `f` consecutive summaries into one, left to right.
+fn combine_groups<T: Record>(level: &[T], f: usize, combine: impl Fn(&T, &T) -> T) -> Vec<T> {
+    level
+        .chunks(f)
+        .map(|group| {
+            let mut acc = group[0].clone();
+            for item in &group[1..] {
+                acc = combine(&acc, item);
+            }
+            acc
+        })
+        .collect()
 }
 
 /// Charges one up-sweep level of an f-ary aggregation tree: each group
@@ -412,26 +372,6 @@ pub fn broadcast_all<T: Record>(
         cover = next_cover;
     }
     sys.observe_wire(&sent, &received);
-    // Threaded executor: physically replicate along the f-ary tree. The
-    // waves follow the unpipelined tree (depth waves, machine j fetches
-    // from j % cover), moving the same (p-1)·payload total the charge
-    // loop above priced into the pipelined round schedule.
-    if let Some(pool) = sys.pool_handle() {
-        let mut cover = 1usize;
-        while cover < p {
-            let next_cover = cover.saturating_mul(f).min(p);
-            let mut outboxes: Vec<Vec<(usize, T)>> = (0..p).map(|_| Vec::new()).collect();
-            for j in cover..next_cover {
-                let src = j % cover;
-                for rec in &payload {
-                    outboxes[src].push((j, rec.clone()));
-                }
-            }
-            let (_shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
-            sys.note_exchange_traffic(&sent_w, &recv_w);
-            cover = next_cover;
-        }
-    }
     Ok(vec![payload; p])
 }
 
@@ -472,47 +412,10 @@ pub fn machine_scan<T: Record>(
         if cur_len <= 1 {
             break;
         }
-        let groups = cur_len.div_ceil(f);
-        let cur_map = maps.last().expect("non-empty").clone();
-        charge_gather_level::<T>(sys, &cur_map, f, op)?;
-        let grouped: Vec<Vec<T>> = match sys.pool_handle() {
-            Some(pool) => {
-                let cur = levels.last().expect("non-empty");
-                let mut outboxes: Vec<Vec<(usize, T)>> =
-                    (0..pool.machines()).map(|_| Vec::new()).collect();
-                for (i, item) in cur.iter().enumerate() {
-                    let leader = cur_map[(i / f) * f];
-                    outboxes[cur_map[i]].push((leader, item.clone()));
-                }
-                let (mut shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
-                sys.note_exchange_traffic(&sent_w, &recv_w);
-                (0..groups)
-                    .map(|g| std::mem::take(&mut shards[cur_map[g * f]]))
-                    .collect()
-            }
-            None => {
-                let cur = levels.last().expect("non-empty");
-                (0..groups)
-                    .map(|g| {
-                        let lo = g * f;
-                        let hi = (lo + f).min(cur.len());
-                        cur[lo..hi].to_vec()
-                    })
-                    .collect()
-            }
-        };
-        let next: Vec<T> = grouped
-            .into_iter()
-            .map(|group| {
-                let mut items = group.into_iter();
-                let mut acc = items.next().expect("groups are non-empty");
-                for item in items {
-                    acc = combine(&acc, &item);
-                }
-                acc
-            })
-            .collect();
-        let next_map: Vec<usize> = (0..groups).map(|g| cur_map[g * f]).collect();
+        let cur_map = maps.last().expect("non-empty");
+        charge_gather_level::<T>(sys, cur_map, f, op)?;
+        let next = combine_groups(levels.last().expect("non-empty"), f, combine);
+        let next_map: Vec<usize> = cur_map.iter().copied().step_by(f).collect();
         levels.push(next);
         maps.push(next_map);
     }
@@ -552,30 +455,6 @@ pub fn machine_scan<T: Record>(
             }
         }
         sys.observe_wire(&sent, &received);
-        // Threaded executor: each parent physically sends every child
-        // its prefix (the leader child is the parent's own machine, so
-        // that hop is free on the wire; the charge above keeps the
-        // model's "leader informs its group" formula).
-        if let Some(pool) = sys.pool_handle() {
-            let mut outboxes: Vec<Vec<(usize, T)>> =
-                (0..pool.machines()).map(|_| Vec::new()).collect();
-            for (i, prefix) in next_prefixes.iter().enumerate() {
-                let parent = maps[lvl + 1][i / f];
-                let child = maps[lvl][i];
-                outboxes[parent].push((child, prefix.clone()));
-            }
-            let (mut shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
-            sys.note_exchange_traffic(&sent_w, &recv_w);
-            next_prefixes = maps[lvl]
-                .iter()
-                .map(|&m| {
-                    std::mem::take(&mut shards[m])
-                        .into_iter()
-                        .next()
-                        .expect("each machine holds exactly one prefix")
-                })
-                .collect();
-        }
         prefixes = next_prefixes;
     }
     debug_assert_eq!(prefixes.len(), p);
@@ -586,6 +465,7 @@ pub fn machine_scan<T: Record>(
 mod tests {
     use super::*;
     use crate::config::MpcConfig;
+    use crate::Metrics;
 
     fn sys(words: usize, machines: usize, slack: usize) -> MpcSystem {
         MpcSystem::new(MpcConfig::explicit(words, machines, slack))
@@ -627,6 +507,33 @@ mod tests {
         let d = Dist::distribute(&mut s, vec![1u64, 2]).unwrap();
         let err = route_with(&mut s, d, "t", &[vec![0, 0, 0], vec![1]]).unwrap_err();
         assert!(matches!(err, MpcError::ShapeMismatch { .. }));
+    }
+
+    #[test]
+    fn routing_rejects_a_dist_from_a_larger_deployment() {
+        let mut big = sys(16, 8, 1);
+        let mut small = sys(16, 4, 1);
+        let d = Dist::distribute(&mut big, (0u64..16).collect()).unwrap();
+        let err = route(&mut small, d.clone(), "t", |_, _| 0).unwrap_err();
+        assert!(matches!(
+            err,
+            MpcError::ShapeMismatch {
+                expected: 4,
+                got: 8,
+                ..
+            }
+        ));
+        let dests: Vec<Vec<usize>> = d.shards().iter().map(|s| vec![0; s.len()]).collect();
+        let err = route_with(&mut small, d, "t", &dests).unwrap_err();
+        assert!(matches!(
+            err,
+            MpcError::ShapeMismatch {
+                expected: 4,
+                got: 8,
+                ..
+            }
+        ));
+        assert_eq!(small.metrics(), &Metrics::new(4), "nothing was charged");
     }
 
     #[test]

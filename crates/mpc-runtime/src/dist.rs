@@ -220,6 +220,17 @@ mod tests {
     }
 
     #[test]
+    fn failed_distribute_leaves_metrics_unchanged() {
+        // Three 3-word records fit the deployment's 10 words in total,
+        // but two of them land on one 5-word machine.
+        let mut s = MpcSystem::new(MpcConfig::explicit(5, 2, 1));
+        let before = s.metrics().clone();
+        let err = Dist::distribute(&mut s, vec![(1u64, 2u64, 3u64); 3]).unwrap_err();
+        assert!(matches!(err, MpcError::MemoryExceeded { machine: 0, .. }));
+        assert_eq!(s.metrics(), &before);
+    }
+
+    #[test]
     fn map_and_filter_are_local() {
         let mut s = sys(8, 4);
         let d = Dist::distribute(&mut s, (0u64..16).collect()).unwrap();

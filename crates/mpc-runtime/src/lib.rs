@@ -37,16 +37,17 @@
 //! (machines are independent by definition), but all observable results
 //! are deterministic: shards are combined in machine order.
 //!
-//! # Executors
+//! # Network pricing
 //!
-//! Two physical engines run the simulation (see [`ExecutorKind`]):
-//! the default **loop** executor iterates machine shards in-process,
-//! while the **threaded** executor ([`MpcSystem::with_executor`]) runs
-//! one OS thread per machine and moves every round's messages through
-//! the `spanner-net` router, pricing each round under a pluggable
-//! [`NetworkModel`] into a [`NetReport`] (predicted cluster wall-clock).
-//! Both engines share all charging code, so shards, rounds, and traffic
-//! are bit-identical at fixed seeds.
+//! The simulator executes machines as a data-parallel loop and prices
+//! the network after the fact. [`Metrics`] records what a physical
+//! cluster would put on the wire — per-machine sent/received words
+//! (self-delivery free) and each round's `(busiest sender, busiest
+//! receiver, total)` words — and [`NetworkModel::report`] turns that
+//! into a [`NetReport`]: wire bytes per machine, simulated seconds per
+//! round, and the predicted cluster wall-clock. Pricing reads the
+//! accounting only, so one run can be priced under any number of
+//! network shapes.
 
 pub mod comm;
 pub mod config;
@@ -64,7 +65,7 @@ pub use error::MpcError;
 pub use metrics::Metrics;
 pub use net::{NetReport, NetworkModel, WORD_BYTES};
 pub use record::Record;
-pub use system::{ExecutorKind, MpcSystem};
+pub use system::MpcSystem;
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, MpcError>;

@@ -20,8 +20,7 @@ pub const WORD_BYTES: u64 = 8;
 /// A network shape that prices one synchronous round.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum NetworkModel {
-    /// Zero-cost network. Rounds are free — useful for pinning the
-    /// threaded executor against the loop executor without a clock.
+    /// Zero-cost network. Rounds are free.
     Ideal,
     /// Every machine pair has a private link: a round costs the fixed
     /// latency plus the busiest endpoint's bytes over its link speed.
@@ -69,6 +68,8 @@ impl NetworkModel {
                 self.round_cost(sent * WORD_BYTES, recv * WORD_BYTES, total * WORD_BYTES)
             })
             .collect();
+        // In execution order from +0.0 (f64's `Sum` starts at -0.0, which
+        // would print an unpriced run as "-0.0000s").
         let mut total_seconds = 0.0;
         for &t in &round_times {
             total_seconds += t;
@@ -88,8 +89,8 @@ impl NetworkModel {
     /// whose summed per-round critical-link bytes are
     /// `critical_link_bytes` and whose summed traffic is `total_bytes`.
     /// Equals the sum of [`Self::round_cost`] over the rounds (the
-    /// per-round maxima distribute over the sum), so loop-executor
-    /// metrics yield the same prediction the threaded executor clocks.
+    /// per-round maxima distribute over the sum), so it agrees with
+    /// [`Self::report`] up to float rounding.
     pub fn predict(&self, rounds: u64, critical_link_bytes: u64, total_bytes: u64) -> f64 {
         match *self {
             NetworkModel::Ideal => 0.0,
@@ -195,5 +196,29 @@ mod tests {
             (summed - predicted).abs() < 1e-12,
             "{summed} vs {predicted}"
         );
+    }
+
+    #[test]
+    fn report_prices_every_round_in_order() {
+        let mut metrics = Metrics::new(2);
+        metrics.observe_traffic(10, 4, 20);
+        metrics.observe_traffic(2, 8, 12);
+        metrics.observe_wire(&[10, 2], &[0, 12]);
+        let m = mesh(1e-3, 1e6);
+        let report = m.report(&metrics);
+        assert_eq!(report.machines, 2);
+        assert_eq!(report.rounds, 2);
+        // Each round: latency + busier-direction bytes / bandwidth.
+        assert_eq!(
+            report.round_times,
+            vec![1e-3 + 80.0 / 1e6, 1e-3 + 64.0 / 1e6]
+        );
+        assert_eq!(
+            report.total_seconds,
+            0.0 + report.round_times[0] + report.round_times[1]
+        );
+        assert_eq!(report.sent_bytes, vec![80, 16]);
+        assert_eq!(report.recv_bytes, vec![0, 96]);
+        assert_eq!(NetworkModel::Ideal.report(&metrics).total_seconds, 0.0);
     }
 }

@@ -1,14 +1,15 @@
-//! The simulated-clock report a threaded run accumulates.
+//! The simulated-clock report a [`crate::NetworkModel`] prices from a
+//! run's metrics.
 
 /// Per-run network accounting under a [`crate::NetworkModel`]: wire
 /// traffic per machine, simulated time per round, and the total
-/// predicted wall-clock.
+/// predicted wall-clock. Built by [`crate::NetworkModel::report`].
 ///
-/// Per-machine byte counts are *wire-measured* by the router exchanges
+/// Per-machine byte counts are the wire words the primitives recorded
 /// (self-delivery is free, matching the model); round times are charged
 /// from the runtime's per-round accounting, so synthetic rounds (e.g.
-/// the sample-sort splitter trees) are priced even though they move no
-/// router traffic.
+/// the sample-sort splitter trees) are priced even though they move
+/// nothing on the wire.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NetReport {
     /// Number of simulated machines.
@@ -26,36 +27,6 @@ pub struct NetReport {
 }
 
 impl NetReport {
-    /// An empty report for `machines` machines.
-    pub fn new(machines: usize) -> Self {
-        NetReport {
-            machines,
-            rounds: 0,
-            sent_bytes: vec![0; machines],
-            recv_bytes: vec![0; machines],
-            round_times: Vec::new(),
-            total_seconds: 0.0,
-        }
-    }
-
-    /// Prices one executed round at `cost` simulated seconds.
-    pub fn observe_round(&mut self, cost: f64) {
-        self.rounds += 1;
-        self.round_times.push(cost);
-        self.total_seconds += cost;
-    }
-
-    /// Folds one exchange's per-machine traffic (in words) into the
-    /// wire counters.
-    pub fn add_traffic_words(&mut self, sent_words: &[u64], recv_words: &[u64]) {
-        for (acc, &w) in self.sent_bytes.iter_mut().zip(sent_words) {
-            *acc += w * crate::net::WORD_BYTES;
-        }
-        for (acc, &w) in self.recv_bytes.iter_mut().zip(recv_words) {
-            *acc += w * crate::net::WORD_BYTES;
-        }
-    }
-
     /// The busiest sender's total bytes.
     pub fn max_sent_bytes(&self) -> u64 {
         self.sent_bytes.iter().copied().max().unwrap_or(0)
@@ -75,25 +46,6 @@ impl NetReport {
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
-    /// Folds another report (e.g. the APSP gather phase) into this one:
-    /// rounds append, traffic and time add.
-    pub fn absorb(&mut self, other: &NetReport) {
-        if self.machines < other.machines {
-            self.machines = other.machines;
-            self.sent_bytes.resize(other.machines, 0);
-            self.recv_bytes.resize(other.machines, 0);
-        }
-        self.rounds += other.rounds;
-        for (acc, &b) in self.sent_bytes.iter_mut().zip(&other.sent_bytes) {
-            *acc += b;
-        }
-        for (acc, &b) in self.recv_bytes.iter_mut().zip(&other.recv_bytes) {
-            *acc += b;
-        }
-        self.round_times.extend_from_slice(&other.round_times);
-        self.total_seconds += other.total_seconds;
-    }
-
     /// One-line summary for experiment tables.
     pub fn summary(&self) -> String {
         format!(
@@ -111,40 +63,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rounds_and_time_accumulate() {
-        let mut r = NetReport::new(3);
-        r.observe_round(0.5);
-        r.observe_round(1.25);
-        assert_eq!(r.rounds, 2);
-        assert_eq!(r.round_times, vec![0.5, 1.25]);
-        assert_eq!(r.total_seconds, 1.75);
-        assert_eq!(r.critical_round(), Some((1, 1.25)));
-    }
-
-    #[test]
-    fn traffic_converts_words_to_bytes() {
-        let mut r = NetReport::new(2);
-        r.add_traffic_words(&[3, 0], &[0, 3]);
-        r.add_traffic_words(&[1, 1], &[1, 1]);
-        assert_eq!(r.sent_bytes, vec![32, 8]);
-        assert_eq!(r.recv_bytes, vec![8, 32]);
+    fn extremes_and_summary() {
+        let r = NetReport {
+            machines: 2,
+            rounds: 2,
+            sent_bytes: vec![32, 8],
+            recv_bytes: vec![8, 40],
+            round_times: vec![0.5, 1.25],
+            total_seconds: 1.75,
+        };
         assert_eq!(r.max_sent_bytes(), 32);
-        assert_eq!(r.max_recv_bytes(), 32);
-    }
-
-    #[test]
-    fn absorb_merges_everything() {
-        let mut a = NetReport::new(2);
-        a.observe_round(1.0);
-        a.add_traffic_words(&[2, 0], &[0, 2]);
-        let mut b = NetReport::new(2);
-        b.observe_round(0.5);
-        b.add_traffic_words(&[0, 4], &[4, 0]);
-        a.absorb(&b);
-        assert_eq!(a.rounds, 2);
-        assert_eq!(a.total_seconds, 1.5);
-        assert_eq!(a.sent_bytes, vec![16, 32]);
-        assert_eq!(a.recv_bytes, vec![32, 16]);
-        assert!(a.summary().contains("2 rounds"));
+        assert_eq!(r.max_recv_bytes(), 40);
+        assert_eq!(r.critical_round(), Some((1, 1.25)));
+        assert_eq!(
+            r.summary(),
+            "predicted=1.7500s over 2 rounds | wire: max_sent=32B max_recv=40B"
+        );
+        assert_eq!(NetReport::default().critical_round(), None);
     }
 }

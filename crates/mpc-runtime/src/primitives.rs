@@ -466,6 +466,29 @@ mod tests {
     }
 
     #[test]
+    fn failed_aggregate_records_only_its_routing_round() {
+        // Eight distinct 1-word keys route fine onto two 8-word machines,
+        // but folding widens each to a 4-word `(key, value)` record.
+        let keys: Vec<u64> = (0..8).collect();
+        let wide = |&k: &u64| (k, k, k);
+        let mut s = sys(8, 2, 1);
+        let d = Dist::distribute(&mut s, keys.clone()).unwrap();
+        let err = aggregate_by_key(&mut s, d, "agg", |&k| k, wide, |a, _| *a).unwrap_err();
+        assert!(matches!(
+            err,
+            crate::MpcError::MemoryExceeded { op: "agg", .. }
+        ));
+        // The failed storage check recorded nothing beyond the route.
+        let mut reference = sys(8, 2, 1);
+        let d = Dist::distribute(&mut reference, keys).unwrap();
+        route(&mut reference, d, "agg", |&k, _| {
+            (splitmix64(k) % 2) as usize
+        })
+        .unwrap();
+        assert_eq!(s.metrics(), reference.metrics());
+    }
+
+    #[test]
     fn count_and_max() {
         let mut s = sys(16, 4, 2);
         let d = Dist::distribute(&mut s, (0u64..37).collect()).unwrap();

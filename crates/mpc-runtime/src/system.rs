@@ -1,41 +1,11 @@
 //! The [`MpcSystem`]: configuration + accounting context through which all
 //! primitives execute.
 
-use std::sync::Arc;
-
-use spanner_net::MachinePool;
-
 use crate::config::MpcConfig;
 use crate::error::MpcError;
 use crate::metrics::Metrics;
-use crate::net::{NetReport, NetworkModel, WORD_BYTES};
 use crate::record::Record;
 use crate::Result;
-
-/// Which physical engine executes the simulated machines.
-///
-/// Both engines run the same algorithms with the same accounting and
-/// produce bit-identical shards, rounds, and traffic at fixed seeds;
-/// `Threaded` additionally moves every round's messages between real OS
-/// threads and prices the run under a [`NetworkModel`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum ExecutorKind {
-    /// Data-parallel loop over machine shards (the original engine).
-    #[default]
-    Loop,
-    /// One OS thread per machine, exchanging per-round message batches
-    /// through a router, with rounds priced by the given model.
-    Threaded(NetworkModel),
-}
-
-/// The threaded engine's state: the shared thread pool plus the
-/// simulated-clock report it accumulates.
-#[derive(Debug, Clone)]
-struct NetExec {
-    model: NetworkModel,
-    pool: Arc<MachinePool>,
-    report: NetReport,
-}
 
 /// One simulated MPC deployment.
 ///
@@ -45,57 +15,14 @@ struct NetExec {
 pub struct MpcSystem {
     cfg: MpcConfig,
     metrics: Metrics,
-    net: Option<NetExec>,
 }
 
 impl MpcSystem {
-    /// A fresh deployment with zeroed metrics on the loop executor.
+    /// A fresh deployment with zeroed metrics.
     pub fn new(cfg: MpcConfig) -> Self {
-        Self::with_executor(cfg, ExecutorKind::Loop)
-    }
-
-    /// A fresh deployment on the chosen executor. `Threaded` spawns one
-    /// OS thread per machine up front (parked between rounds); clones of
-    /// the system share the same pool.
-    pub fn with_executor(cfg: MpcConfig, executor: ExecutorKind) -> Self {
-        let net = match executor {
-            ExecutorKind::Loop => None,
-            ExecutorKind::Threaded(model) => Some(NetExec {
-                model,
-                pool: Arc::new(MachinePool::spawn(cfg.num_machines)),
-                report: NetReport::new(cfg.num_machines),
-            }),
-        };
         MpcSystem {
             cfg,
             metrics: Metrics::new(cfg.num_machines),
-            net,
-        }
-    }
-
-    /// Which executor this system runs on.
-    pub fn executor(&self) -> ExecutorKind {
-        match &self.net {
-            None => ExecutorKind::Loop,
-            Some(net) => ExecutorKind::Threaded(net.model),
-        }
-    }
-
-    /// The simulated-clock network report (threaded executor only).
-    pub fn net_report(&self) -> Option<&NetReport> {
-        self.net.as_ref().map(|net| &net.report)
-    }
-
-    /// Handle to the machine-thread pool, if the threaded engine is on.
-    pub(crate) fn pool_handle(&self) -> Option<Arc<MachinePool>> {
-        self.net.as_ref().map(|net| Arc::clone(&net.pool))
-    }
-
-    /// Folds one physical exchange's per-machine wire traffic (in words)
-    /// into the network report.
-    pub(crate) fn note_exchange_traffic(&mut self, sent_words: &[u64], recv_words: &[u64]) {
-        if let Some(net) = &mut self.net {
-            net.report.add_traffic_words(sent_words, recv_words);
         }
     }
 
@@ -123,13 +50,9 @@ impl MpcSystem {
         self.metrics.rounds
     }
 
-    /// Resets metrics and the network report (e.g. to time a phase in
-    /// isolation).
+    /// Resets metrics (e.g. to time a phase in isolation).
     pub fn reset_metrics(&mut self) {
         self.metrics = Metrics::new(self.cfg.num_machines);
-        if let Some(net) = &mut self.net {
-            net.report = NetReport::new(self.cfg.num_machines);
-        }
     }
 
     /// Records one executed communication round attributed to `op`, with
@@ -143,14 +66,6 @@ impl MpcSystem {
     ) -> Result<()> {
         self.metrics.add_round(op);
         self.metrics.observe_traffic(max_sent, max_received, total);
-        if let Some(net) = &mut self.net {
-            let cost = net.model.round_cost(
-                max_sent as u64 * WORD_BYTES,
-                max_received as u64 * WORD_BYTES,
-                total * WORD_BYTES,
-            );
-            net.report.observe_round(cost);
-        }
         let cap = self.cfg.capacity();
         if max_sent > cap {
             return Err(MpcError::BandwidthExceeded {
@@ -249,33 +164,5 @@ mod tests {
         sys.charge_round("a", 1, 1, 2).unwrap();
         sys.reset_metrics();
         assert_eq!(sys.rounds(), 0);
-    }
-
-    #[test]
-    fn loop_executor_has_no_net_report() {
-        let sys = MpcSystem::new(MpcConfig::explicit(8, 2, 2));
-        assert_eq!(sys.executor(), ExecutorKind::Loop);
-        assert!(sys.net_report().is_none());
-        assert!(sys.pool_handle().is_none());
-    }
-
-    #[test]
-    fn threaded_executor_prices_every_round() {
-        let model = NetworkModel::FullMesh {
-            latency_s: 1e-3,
-            bytes_per_sec: 1e6,
-        };
-        let mut sys =
-            MpcSystem::with_executor(MpcConfig::explicit(64, 4, 1), ExecutorKind::Threaded(model));
-        assert_eq!(sys.executor(), ExecutorKind::Threaded(model));
-        sys.charge_round("a", 10, 4, 20).unwrap();
-        sys.charge_round("b", 2, 8, 12).unwrap();
-        let report = sys.net_report().expect("threaded runs carry a report");
-        assert_eq!(report.rounds, 2);
-        // Each round: latency + busier-direction bytes / bandwidth.
-        let expected = (1e-3 + 80.0 / 1e6) + (1e-3 + 64.0 / 1e6);
-        assert!((report.total_seconds - expected).abs() < 1e-12);
-        sys.reset_metrics();
-        assert_eq!(sys.net_report().unwrap().rounds, 0);
     }
 }

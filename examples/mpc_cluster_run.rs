@@ -5,11 +5,10 @@
 //!
 //! Shows the Theorem 1.1 accounting live through the pipeline: **one**
 //! `SpannerRequest`, re-targeted at deployments with shrinking machine
-//! memory by swapping only the `Backend`. Each deployment runs twice —
-//! on the loop executor and on the thread-per-machine executor under a
-//! `FullMesh` network model — and the example asserts the two engines
-//! produce the identical spanner and round count before printing the
-//! threaded run's `NetReport` (predicted cluster seconds).
+//! memory by swapping only the `Backend`. Each run is priced under a
+//! `FullMesh` network model from its own per-round accounting
+//! (`model.report(&stats.metrics)`), giving a `NetReport` of predicted
+//! cluster seconds.
 //!
 //! ```sh
 //! cargo run --release --example mpc_cluster_run
@@ -47,32 +46,18 @@ fn main() {
         "{:>8} {:>6} {:>8} {:>12} {:>14} {:>12} {:>7}",
         "S(words)", "P", "rounds", "rounds/iter", "peak mem", "predicted", "match"
     );
+    let mut final_report = None;
     for s in [2048usize, 4096, 8192, 16384] {
         let cfg = MpcConfig::explicit(s, input_words.div_ceil(s).max(2), 8);
-        // The same request, unmodified, on the loop executor...
+        // The same request, unmodified, on each deployment.
         let run = request
             .clone()
             .on(Backend::mpc_deployment(cfg))
             .run()
             .expect("constraints hold on this deployment");
         let stats = run.stats.mpc().expect("mpc backend reports mpc stats");
-        // ...and again on one OS thread per machine, messages moving
-        // through the router, rounds priced by the network model.
-        let threaded = request
-            .clone()
-            .on(Backend::mpc_deployment(cfg).threaded(model))
-            .run()
-            .expect("same constraints, threaded executor");
-        let tstats = threaded.stats.mpc().expect("mpc backend reports mpc stats");
-        assert_eq!(
-            threaded.result.edges, run.result.edges,
-            "executors must build the identical spanner"
-        );
-        assert_eq!(
-            tstats.metrics.rounds, stats.metrics.rounds,
-            "executors must charge identical rounds"
-        );
         let (metrics, config) = (&stats.metrics, &stats.config);
+        let net = model.report(metrics);
         println!(
             "{:>8} {:>6} {:>8} {:>12.1} {:>9}/{:<6} {:>10.4}s {:>7}",
             s,
@@ -81,25 +66,14 @@ fn main() {
             metrics.rounds as f64 / run.result.iterations.max(1) as f64,
             metrics.peak_machine_words,
             config.capacity(),
-            tstats.predicted_time.expect("threaded runs predict"),
+            net.total_seconds,
             run.result.edges == reference.edges,
         );
+        if s == 4096 {
+            final_report = Some(net);
+        }
     }
-    let final_report = request
-        .clone()
-        .on(Backend::mpc_deployment(MpcConfig::explicit(
-            4096,
-            input_words.div_ceil(4096).max(2),
-            8,
-        ))
-        .threaded(model))
-        .run()
-        .expect("threaded run for the report");
-    let net = final_report
-        .stats
-        .mpc()
-        .and_then(|s| s.net.clone())
-        .expect("threaded runs carry a NetReport");
+    let net = final_report.expect("the S=4096 deployment ran");
     println!(
         "\nS=4096 NetReport under {}: {}",
         model.label(),
@@ -109,6 +83,6 @@ fn main() {
         println!("most expensive round: #{round} at {cost:.6}s");
     }
     println!("\nSmaller machines => more machines, deeper aggregation trees, more rounds");
-    println!("(the O(1/gamma) factor of Theorem 1.1) — same spanner, bit for bit,");
-    println!("on both executors; predictions are the model's simulated seconds.");
+    println!("(the O(1/gamma) factor of Theorem 1.1) — same spanner, bit for bit;");
+    println!("predictions are the model's simulated seconds.");
 }

@@ -97,7 +97,7 @@ fn json_output_is_byte_identical_across_runs() {
     let root = scratch("json");
     write(
         &root,
-        "crates/net/src/lib.rs",
+        "crates/core/src/pipeline/service.rs",
         "pub fn f(v: Vec<u32>) -> u32 { v[0] }\n\
          pub fn g(v: Vec<u32>) -> u32 { v.first().copied().unwrap_or(0) }\n",
     );
@@ -116,7 +116,7 @@ fn baseline_suppresses_known_findings_and_write_baseline_creates_it() {
     let root = scratch("baseline");
     write(
         &root,
-        "crates/net/src/lib.rs",
+        "crates/core/src/pipeline/service.rs",
         "pub fn f(v: Vec<u32>) -> u32 { v[0] }\n",
     );
     let baseline = root.join("analyze-baseline.json");
@@ -147,7 +147,7 @@ fn baseline_suppresses_known_findings_and_write_baseline_creates_it() {
     // A *new* finding still fails against the old baseline.
     write(
         &root,
-        "crates/net/src/more.rs",
+        "crates/core/src/pipeline/shard.rs",
         "pub fn g(v: Vec<u32>) -> u32 { v[1] }\n",
     );
     let out = xtask()
@@ -165,7 +165,7 @@ fn only_filter_narrows_the_report_and_the_exit_code() {
     // One panic-path site and one determinism-taint site.
     write(
         &root,
-        "crates/net/src/lib.rs",
+        "crates/core/src/pipeline/service.rs",
         "use std::collections::HashMap;\n\
          pub fn f(v: Vec<u32>) -> u32 { v[0] }\n\
          pub fn serve(m: &HashMap<u32, u32>) -> Vec<u32> {\n\
@@ -189,7 +189,7 @@ fn files_filter_narrows_by_glob() {
     let root = scratch("files");
     write(
         &root,
-        "crates/net/src/lib.rs",
+        "crates/core/src/pipeline/service.rs",
         "pub fn f(v: Vec<u32>) -> u32 { v[0] }\n",
     );
     write(
@@ -197,10 +197,13 @@ fn files_filter_narrows_by_glob() {
         "crates/core/src/pipeline/queue.rs",
         "pub fn g(v: Vec<u32>) -> u32 { v[0] }\n",
     );
-    let out = analyze(&root, &["--files", "crates/net/**"]);
+    let out = analyze(&root, &["--files", "**/service.rs"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("crates/net/src/lib.rs"), "{text}");
+    assert!(
+        text.contains("crates/core/src/pipeline/service.rs"),
+        "{text}"
+    );
     assert!(!text.contains("queue.rs"), "{text}");
     let _ = fs::remove_dir_all(&root);
 }
