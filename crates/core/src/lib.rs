@@ -25,13 +25,12 @@
 //! **New code should enter through [`pipeline`]**: one typed
 //! `SpannerRequest` (algorithm × backend × seed × verification policy)
 //! with a `plan()` step that predicts the theorem bounds before running
-//! and a `run()` that returns a unified `RunReport`; a `Batch` executes
-//! many requests concurrently. The per-model free functions in the
-//! algorithm modules survive as thin shims over the pipeline. For
-//! long-lived serving (register a graph once, answer many jobs from a
-//! budgeted artifact store under admission control), continue to
-//! [`pipeline::service`] — the one-shot request types are themselves
-//! thin shims over that layer's anonymous single-use path.
+//! and a `run()` that returns a unified `RunReport`. The per-model free
+//! functions in the algorithm modules survive as thin shims over the
+//! pipeline. For long-lived serving (register a graph once, answer many
+//! jobs from a budgeted artifact store under admission control),
+//! continue to [`pipeline::service`], whose jobs run the same execution
+//! path as the one-shot requests.
 //!
 //! Every construction exists as a *sequential reference* (it executes
 //! the exact per-iteration rules and is what the stretch/size

@@ -32,24 +32,25 @@
 //!   returns a [`RunReport`]: the [`SpannerResult`], the
 //!   backend-specific cost ([`ExecutionStats`]), and (optionally) an
 //!   inline verification outcome;
-//! * [`Batch`] — many requests executed concurrently through the rayon
-//!   pool, each failing independently: the serving-shaped workload.
-//!   Per-request deadlines ([`SpannerRequest::deadline`]) and a shared
-//!   [`CancelToken`] ([`Batch::run_with`]) bound tail latency;
 //! * [`service`] — **the long-lived serving front door**: a
 //!   [`SpannerService`] owning a fingerprint-deduped, versioned graph
 //!   registry ([`SpannerService::register`] → [`GraphHandle`]), a
 //!   memory-budgeted LRU artifact store ([`HeapSize`]-sized spanners
 //!   and oracles), admission control and [`ServiceStats`]. Register
-//!   once, serve many — the one-shot request types below are thin
-//!   shims over an anonymous single-use registration on this layer;
+//!   once, serve many; handle-based jobs run the same execution path
+//!   as the one-shot requests, so both produce bit-identical artifacts
+//!   at equal seeds;
 //! * [`distance`] — the Section 7 / §1.2 serving stage: a
 //!   [`DistanceRequest`] composes any spanner request with a
 //!   [`QueryEngine`] (exact Dijkstra or Thorup–Zwick sketches) into a
 //!   [`DistanceOracle`] answering distance queries under the composed
-//!   `σ·(2λ−1)` guarantee, with batched queries, build deduplication
-//!   ([`OracleCache`], [`DistanceBatch`]) and the MPC "+1 gather"
-//!   charged faithfully.
+//!   `σ·(2λ−1)` guarantee, with batched queries and the MPC "+1
+//!   gather" charged faithfully.
+//!
+//! Many one-shot requests run concurrently as a plain rayon map
+//! (`requests.par_iter().map(SpannerRequest::run)`), each failing
+//! independently; build deduplication and eviction are the service's
+//! job.
 //!
 //! The legacy free functions (`general_spanner`, `cc_spanner`,
 //! `pram_general_spanner`, `streaming_spanner`, …) survive as thin
@@ -83,8 +84,6 @@ use std::sync::Arc;
 use crate::sync::TrackedMutex;
 use std::time::{Duration, Instant};
 
-use rayon::prelude::*;
-
 use mpc_runtime::{Metrics, MpcConfig, MpcError};
 use spanner_graph::verify::verify_spanner;
 use spanner_graph::Graph;
@@ -102,8 +101,8 @@ pub mod shard;
 
 pub use clique::CcNetwork;
 pub use distance::{
-    BuildGuard, DistanceBatch, DistanceBuildStats, DistanceOracle, DistancePlan, DistanceRequest,
-    DistanceSketches, OracleCache, OracleKey, QueryEngine, VertexSketch,
+    BuildGuard, DistanceBuildStats, DistanceOracle, DistancePlan, DistanceRequest,
+    DistanceSketches, QueryEngine, VertexSketch,
 };
 pub use pram_cost::{log_star, PramTracker};
 pub use queue::{
@@ -222,6 +221,10 @@ impl Algorithm {
                 err(format!("{}: k must be at least 1", self.label()))
             }
             Algorithm::General(p) if p.k == 0 => err("general: k must be at least 1".into()),
+            Algorithm::General(p) if p.t == 0 || p.t > p.k => err(format!(
+                "general: t must be in [1, k = {}], got {}",
+                p.k, p.t
+            )),
             Algorithm::UnweightedOk { k, config } => {
                 if k == 0 {
                     return err("unweighted-ok: k must be at least 1".into());
@@ -414,8 +417,8 @@ impl VerificationOutcome {
 // ---------------------------------------------------------------------
 
 /// Why a request could not be planned or executed. Requests fail
-/// *individually* — a malformed request inside a [`Batch`] yields an
-/// `Err` slot, never a panic that aborts its neighbours.
+/// *individually* — a malformed request run alongside others yields its
+/// own `Err`, never a panic that aborts its neighbours.
 #[derive(Debug, Clone)]
 pub enum PipelineError {
     /// The request is malformed (k = 0, ε ≤ 0, weighted input to the
@@ -504,12 +507,11 @@ impl From<MpcError> for PipelineError {
     }
 }
 
-/// A shared, cloneable cancellation flag for batched serving.
-/// Cancellation is *cooperative*: requests check the token at their
-/// checkpoints (see [`Batch::run_with`] /
-/// [`distance::DistanceBatch::build_with`] and the service's
-/// [`distance::BuildGuard`]); an execution between checkpoints runs to
-/// the next one.
+/// A shared, cloneable cancellation flag for concurrent serving.
+/// Cancellation is *cooperative*: builds check the token at their
+/// checkpoints (see [`DistanceRequest::build_with`],
+/// [`SpannerJob::cancel`] and [`distance::BuildGuard`]); an execution
+/// between checkpoints runs to the next one.
 ///
 /// Besides the flag, a token carries a waiter list: a thread parked on
 /// a condvar (a queued job waiting for an admission slot, say) can
@@ -1065,37 +1067,22 @@ impl<'g> SpannerRequest<'g> {
         })
     }
 
-    /// Executes the request on its backend.
-    ///
-    /// Since the [`service`] redesign this is a thin shim over an
-    /// anonymous single-use registration on the process-wide service
-    /// (no artifact store, unlimited admission): the graph is borrowed
-    /// for exactly one job, and the execution path is the same one
-    /// handle-based [`SpannerJob`]s run, so one-shot and registered
-    /// calls produce bit-identical reports at equal seeds.
+    /// Executes the request on its backend. The request's deadline
+    /// becomes a [`BuildGuard`], so a one-shot run gets the same
+    /// mid-build checkpoints as a service job and the same report at
+    /// equal seeds.
     pub fn run(&self) -> Result<RunReport, PipelineError> {
-        SpannerService::anonymous().run_anonymous(self)
+        self.run_guarded(&BuildGuard::armed(
+            self.algorithm.label(),
+            None,
+            self.deadline,
+        ))
     }
 
-    /// The raw execution path (plan → execute → deadline →
-    /// verification), shared by the anonymous shim above and by
-    /// [`SpannerJob`]s, which add registry/store/admission around it.
-    /// The request's own deadline/cancellation settings become the
-    /// guard, so one-shot runs get the same mid-build checkpoints as
-    /// service jobs.
-    pub(crate) fn run_uncached(&self) -> Result<RunReport, PipelineError> {
-        let mut guard = distance::BuildGuard::new(self.algorithm.label());
-        if let Some(deadline) = self.deadline {
-            guard = guard.with_deadline(deadline);
-        }
-        self.run_guarded(&guard)
-    }
-
-    /// [`Self::run_uncached`] under an explicit [`BuildGuard`]: the
-    /// guard is checked between engine grow iterations and before
-    /// Phase 2 on the sequential backend, so a fired token or expired
-    /// deadline stops a spanner construction mid-build instead of
-    /// after it.
+    /// [`Self::run`] under an explicit [`BuildGuard`]: the guard is
+    /// checked between engine grow iterations and before Phase 2 on the
+    /// sequential backend, so a fired token or expired deadline stops a
+    /// spanner construction mid-build instead of after it.
     pub(crate) fn run_guarded(
         &self,
         guard: &distance::BuildGuard,
@@ -1288,103 +1275,6 @@ fn require_sequential(
     }
 }
 
-// ---------------------------------------------------------------------
-// Batch
-// ---------------------------------------------------------------------
-
-/// Many requests executed concurrently through the rayon pool — the
-/// serving-shaped workload. Each request succeeds or fails
-/// independently and results come back in submission order.
-///
-/// ```
-/// use spanner_core::pipeline::{Algorithm, Batch, SpannerRequest};
-/// use spanner_core::TradeoffParams;
-/// use spanner_graph::generators::{connected_erdos_renyi, WeightModel};
-///
-/// let g = connected_erdos_renyi(100, 0.08, WeightModel::Unit, 1);
-/// let batch: Batch = (0..4)
-///     .map(|s| SpannerRequest::new(&g, Algorithm::General(TradeoffParams::log_k(4))).seed(s))
-///     .collect();
-/// let reports = batch.run();
-/// assert_eq!(reports.len(), 4);
-/// assert!(reports.iter().all(|r| r.is_ok()));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Batch<'g> {
-    requests: Vec<SpannerRequest<'g>>,
-}
-
-impl<'g> Batch<'g> {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Batch::default()
-    }
-
-    /// Appends a request.
-    pub fn push(&mut self, request: SpannerRequest<'g>) {
-        self.requests.push(request);
-    }
-
-    /// Builder-style append.
-    pub fn with(mut self, request: SpannerRequest<'g>) -> Self {
-        self.push(request);
-        self
-    }
-
-    /// Number of queued requests.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// The queued requests, in submission order.
-    pub fn requests(&self) -> &[SpannerRequest<'g>] {
-        &self.requests
-    }
-
-    /// Plans every request (no execution), in submission order.
-    pub fn plan(&self) -> Vec<Result<Plan, PipelineError>> {
-        self.requests.iter().map(SpannerRequest::plan).collect()
-    }
-
-    /// Executes every request concurrently on the rayon pool. Results
-    /// are in submission order; a failed request occupies its slot as
-    /// `Err` without disturbing the others.
-    pub fn run(&self) -> Vec<Result<RunReport, PipelineError>> {
-        self.run_with(&CancelToken::new())
-    }
-
-    /// [`Self::run`] under a cancellation token: requests that have not
-    /// started when the token fires fail with
-    /// [`PipelineError::Cancelled`] (in-flight requests finish — see
-    /// [`CancelToken`]). Per-request deadlines set via
-    /// [`SpannerRequest::deadline`] are honoured either way.
-    pub fn run_with(&self, cancel: &CancelToken) -> Vec<Result<RunReport, PipelineError>> {
-        self.requests
-            .par_iter()
-            .map(|request| {
-                if cancel.is_cancelled() {
-                    Err(PipelineError::Cancelled)
-                } else {
-                    request.run()
-                }
-            })
-            .collect()
-    }
-}
-
-impl<'g> FromIterator<SpannerRequest<'g>> for Batch<'g> {
-    fn from_iter<I: IntoIterator<Item = SpannerRequest<'g>>>(iter: I) -> Self {
-        Batch {
-            requests: iter.into_iter().collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1453,6 +1343,14 @@ mod tests {
             .plan(),
             Err(PipelineError::InvalidRequest(_))
         ));
+        // Schedules outside 1 ≤ t ≤ k (public fields bypass the
+        // clamping constructor).
+        for t in [0, 5, u32::MAX] {
+            assert!(matches!(
+                SpannerRequest::new(&g, Algorithm::General(TradeoffParams { k: 4, t })).plan(),
+                Err(PipelineError::InvalidRequest(_))
+            ));
+        }
         // Zero repetitions.
         assert!(matches!(
             SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(4, 2)))
@@ -1480,18 +1378,20 @@ mod tests {
 
     #[test]
     fn batch_isolates_failures() {
+        use rayon::prelude::*;
         let g = graph();
-        let batch = Batch::new()
-            .with(SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(4, 2))).seed(1))
-            .with(SpannerRequest::new(
+        let requests = [
+            SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(4, 2))).seed(1),
+            SpannerRequest::new(
                 &g,
                 Algorithm::Corollary {
                     setting: CorollarySetting::Epsilon(0.0),
                     k: 8,
                 },
-            ))
-            .with(SpannerRequest::new(&g, Algorithm::BaswanaSen { k: 3 }).seed(2));
-        let reports = batch.run();
+            ),
+            SpannerRequest::new(&g, Algorithm::BaswanaSen { k: 3 }).seed(2),
+        ];
+        let reports: Vec<_> = requests.par_iter().map(SpannerRequest::run).collect();
         assert_eq!(reports.len(), 3);
         assert!(reports[0].is_ok());
         assert!(matches!(reports[1], Err(PipelineError::InvalidRequest(_))));

@@ -60,18 +60,15 @@
 //!   the store before traffic arrives;
 //! * [`ServiceStats`] — hit/miss/eviction/latency counters.
 //!
-//! The one-shot API is now a thin shim over this module: a bare
-//! [`SpannerRequest::run`] routes through a process-wide *anonymous*
-//! service (an unbudgeted, unlimited-admission instance) as a
-//! single-use registration — the graph is borrowed for the duration of
-//! one job instead of entering the registry — so one-shot and
-//! handle-based calls execute the same code path and produce
-//! bit-identical artifacts at equal seeds.
+//! Jobs run the same execution path as the one-shot
+//! [`SpannerRequest::run`] / [`DistanceRequest::build`], so one-shot and
+//! handle-based calls produce bit-identical artifacts at equal seeds;
+//! the service adds only the registry, the store and admission.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -176,9 +173,7 @@ impl<K: Eq + Hash + Clone, V> LruInner<K, V> {
 /// the caller still gets its value back, and the warm entries (which
 /// do fit) are left untouched.
 ///
-/// This is the artifact store behind [`SpannerService`] and the
-/// replacement for the previously unbounded
-/// [`super::OracleCache`][`super::distance::OracleCache`] map.
+/// This is the artifact store behind [`SpannerService`].
 #[derive(Debug)]
 pub struct LruStore<K, V> {
     budget: usize,
@@ -411,15 +406,12 @@ impl ServiceStats {
         self.store_used_bytes += other.store_used_bytes;
     }
 
-    /// Mean wall-clock latency of executed (miss-path) jobs.
+    /// Mean wall-clock latency of executed (miss-path) jobs, rounded
+    /// down to the nanosecond; zero when nothing executed.
     pub fn avg_job_latency(&self) -> Duration {
-        let executed = self.completed + self.failed;
-        if executed == 0 {
-            Duration::ZERO
-        } else {
-            // analyze:allow(panic-path): guarded — the `executed == 0` arm above returns ZERO
-            self.busy / executed as u32
-        }
+        let executed = u128::from(self.completed) + u128::from(self.failed);
+        let nanos = self.busy.as_nanos().checked_div(executed).unwrap_or(0);
+        Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
     }
 
     /// Store hit rate over all served jobs (0.0 when nothing served).
@@ -519,11 +511,7 @@ impl Admission {
         }
     }
 
-    fn acquire(&self, counters: &Counters) -> Result<Permit<'_>, PipelineError> {
-        self.acquire_guarded(counters, &BuildGuard::new("admission"))
-    }
-
-    /// [`Self::acquire`] under a [`BuildGuard`]: while queued, the
+    /// Takes an execution slot under a [`BuildGuard`]: while queued, the
     /// waiter is woken by freed slots, by the guard's token firing
     /// (condvar subscription), or by its deadline expiring — whichever
     /// comes first — and re-checks the guard on every wakeup.
@@ -898,13 +886,7 @@ impl SpannerService {
         // counts against the job's deadline — and the guard rides into
         // the engine loops, so a token fired mid-build stops the
         // construction between grow iterations.
-        let mut guard = BuildGuard::new(job.algorithm.label());
-        if let Some(token) = &job.cancel {
-            guard = guard.with_cancel(token.clone());
-        }
-        if let Some(deadline) = job.deadline {
-            guard = guard.with_deadline(deadline);
-        }
+        let guard = BuildGuard::armed(job.algorithm.label(), job.cancel.as_ref(), job.deadline);
         // Rejected / cancelled-before-execution jobs return here without
         // touching the miss or latency counters — only executions count.
         guard.check()?;
@@ -956,13 +938,7 @@ impl SpannerService {
         // The guard's clock starts at submission, so admission wait
         // counts against the job's deadline — and a queued job whose
         // token fires is released by the admission interrupt check.
-        let mut guard = BuildGuard::new(job.algorithm.label());
-        if let Some(token) = &job.cancel {
-            guard = guard.with_cancel(token.clone());
-        }
-        if let Some(deadline) = job.deadline {
-            guard = guard.with_deadline(deadline);
-        }
+        let guard = BuildGuard::armed(job.algorithm.label(), job.cancel.as_ref(), job.deadline);
         guard.check()?;
         let permit = self.admission.acquire_guarded(&self.counters, &guard)?;
         guard.check()?;
@@ -1003,68 +979,6 @@ impl SpannerService {
         } else {
             c.failed.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    // -- the anonymous single-use path (legacy one-shot shims) --------
-
-    /// The process-wide service the one-shot API routes through: no
-    /// artifact store (the borrowed graph is gone after the call, so
-    /// nothing could be served later anyway) and unlimited admission
-    /// (the one-shot API predates admission control and must keep its
-    /// semantics).
-    pub(crate) fn anonymous() -> &'static SpannerService {
-        static ANONYMOUS: OnceLock<SpannerService> = OnceLock::new();
-        ANONYMOUS.get_or_init(|| {
-            SpannerService::with_config(ServiceConfig {
-                store_budget_bytes: 0,
-                max_in_flight: 0,
-                overload: OverloadPolicy::Queue,
-            })
-        })
-    }
-
-    /// Executes a one-shot [`SpannerRequest`] as an anonymous
-    /// single-use registration: the graph is borrowed for the duration
-    /// of this job instead of entering the registry.
-    pub(crate) fn run_anonymous(
-        &self,
-        request: &SpannerRequest<'_>,
-    ) -> Result<RunReport, PipelineError> {
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        // analyze:allow(determinism-taint): job-latency telemetry only — never reaches artifacts
-        let started = Instant::now();
-        let out = (|| {
-            let _permit = self.admission.acquire(&self.counters)?;
-            request.run_uncached()
-        })();
-        self.finish(started, out.is_ok());
-        out
-    }
-
-    /// Executes a one-shot [`DistanceRequest`] anonymously, with
-    /// cooperative cancellation when a token is supplied.
-    pub(crate) fn build_anonymous(
-        &self,
-        request: &DistanceRequest<'_>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<DistanceOracle, PipelineError> {
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        // analyze:allow(determinism-taint): job-latency telemetry only — never reaches artifacts
-        let started = Instant::now();
-        let out = (|| {
-            let mut guard = BuildGuard::new(request.spanner_request().algorithm().label());
-            if let Some(token) = cancel {
-                guard = guard.with_cancel(token.clone());
-            }
-            if let Some(deadline) = request.spanner_request().deadline_limit() {
-                guard = guard.with_deadline(deadline);
-            }
-            guard.check()?;
-            let _permit = self.admission.acquire(&self.counters)?;
-            request.build_guarded(&guard)
-        })();
-        self.finish(started, out.is_ok());
-        out
     }
 }
 
@@ -1218,6 +1132,14 @@ mod tests {
         Algorithm::General(TradeoffParams::new(4, 2))
     }
 
+    /// An admission slot under a guard that never interrupts.
+    fn take<'a>(
+        admission: &'a Admission,
+        counters: &Counters,
+    ) -> Result<Permit<'a>, PipelineError> {
+        admission.acquire_guarded(counters, &BuildGuard::new("test"))
+    }
+
     #[test]
     fn lru_store_evicts_least_recently_used_first() {
         let store: LruStore<&str, u64> = LruStore::new(100);
@@ -1273,8 +1195,8 @@ mod tests {
     fn admission_rejects_when_full_and_releases_on_drop() {
         let admission = Admission::new(1, OverloadPolicy::Reject);
         let counters = Counters::default();
-        let permit = admission.acquire(&counters).expect("first slot free");
-        let err = admission.acquire(&counters).expect_err("full → reject");
+        let permit = take(&admission, &counters).expect("first slot free");
+        let err = take(&admission, &counters).expect_err("full → reject");
         assert!(matches!(
             err,
             PipelineError::Overloaded {
@@ -1283,7 +1205,7 @@ mod tests {
             }
         ));
         drop(permit);
-        assert!(admission.acquire(&counters).is_ok(), "slot freed on drop");
+        assert!(take(&admission, &counters).is_ok(), "slot freed on drop");
         assert_eq!(counters.rejected.load(Ordering::Relaxed), 1);
     }
 
@@ -1291,10 +1213,10 @@ mod tests {
     fn admission_queue_blocks_until_a_slot_frees() {
         let admission = Arc::new(Admission::new(1, OverloadPolicy::Queue));
         let counters = Arc::new(Counters::default());
-        let permit = admission.acquire(&counters).expect("first slot");
+        let permit = take(&admission, &counters).expect("first slot");
         let (a, c) = (Arc::clone(&admission), Arc::clone(&counters));
         let waiter = std::thread::spawn(move || {
-            let _p = a.acquire(&c).expect("queued acquire succeeds");
+            let _p = take(&a, &c).expect("queued acquire succeeds");
         });
         // Give the waiter time to queue, then free the slot.
         std::thread::sleep(Duration::from_millis(20));
@@ -1380,7 +1302,7 @@ mod tests {
             ..ServiceConfig::default()
         });
         let handle = service.register(graph(6));
-        let _held = service.admission.acquire(&service.counters).unwrap();
+        let _held = take(&service.admission, &service.counters).unwrap();
         let err = service
             .spanner(&handle, alg())
             .run()
@@ -1444,7 +1366,7 @@ mod tests {
             ..ServiceConfig::default()
         });
         let handle = service.register(graph(10));
-        let _held = service.admission.acquire(&service.counters).unwrap();
+        let _held = take(&service.admission, &service.counters).unwrap();
         let token = CancelToken::new();
         let job = service.oracle(&handle, alg()).cancel(token.clone());
         let canceller = std::thread::spawn(move || {
@@ -1469,6 +1391,26 @@ mod tests {
             .run()
             .expect_err("fired token → cancelled");
         assert!(matches!(err, PipelineError::Cancelled));
+    }
+
+    #[test]
+    fn avg_latency_survives_counts_past_u32() {
+        // `1 << 32` executions truncate to zero as a `u32` divisor.
+        let stats = ServiceStats {
+            completed: 1 << 32,
+            busy: Duration::from_secs(1 << 32),
+            ..ServiceStats::default()
+        };
+        assert_eq!(stats.avg_job_latency(), Duration::from_secs(1));
+        assert!(stats.summary().contains("avg_latency=1.000s"));
+        let saturated = ServiceStats {
+            completed: u64::MAX,
+            failed: u64::MAX,
+            busy: Duration::MAX,
+            ..ServiceStats::default()
+        };
+        assert!(saturated.avg_job_latency() > Duration::ZERO);
+        assert_eq!(ServiceStats::default().avg_job_latency(), Duration::ZERO);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! [`pipeline::SpannerRequest::plan`] (predicted rounds/stretch/size
 //! before running), then [`pipeline::SpannerRequest::run`] it on any
 //! [`pipeline::Backend`] (sequential, MPC, Congested Clique, PRAM,
-//! streaming) for a unified [`pipeline::RunReport`]. A
-//! [`pipeline::Batch`] serves many requests concurrently, with
-//! per-request deadlines and cancellation. For the paper's headline
+//! streaming) for a unified [`pipeline::RunReport`], with a
+//! per-request deadline. For the paper's headline
 //! *application* — serving approximate distance queries (Section 7 /
 //! §1.2) — compose a [`pipeline::DistanceRequest`] with a
 //! [`pipeline::QueryEngine`] (exact Dijkstra-on-spanner or Thorup–Zwick
@@ -29,9 +28,9 @@
 //! [`pipeline::SpannerService::oracle`]) that are answered from a
 //! memory-budgeted LRU artifact store under admission control, with
 //! warm-up ([`pipeline::SpannerService::prebuild`]) and
-//! [`pipeline::ServiceStats`] counters. The one-shot request types are
-//! thin shims over an anonymous single-use registration on that layer,
-//! so both flows produce bit-identical artifacts at equal seeds.
+//! [`pipeline::ServiceStats`] counters. Jobs run the same execution
+//! path as the one-shot requests, so both flows produce bit-identical
+//! artifacts at equal seeds.
 //!
 //! **Scaling the tier out?** [`pipeline::ShardedService`] puts N inner
 //! services behind a consistent-hash ring (per-shard budgets and

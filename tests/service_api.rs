@@ -1,9 +1,9 @@
 //! The long-lived serving API's contract:
 //!
-//! 1. **Shims are pinned** — the one-shot `SpannerRequest` /
-//!    `DistanceRequest` calls are thin shims over the service's
-//!    anonymous path and produce **bit-identical** artifacts to
-//!    handle-based jobs at fixed seeds, on every backend.
+//! 1. **One-shot calls are pinned** — the one-shot `SpannerRequest` /
+//!    `DistanceRequest` calls run the execution path service jobs run
+//!    and produce **bit-identical** artifacts to handle-based jobs at
+//!    fixed seeds, on every backend.
 //! 2. **Concurrency is deterministic per request** — N threads
 //!    hammering one `SpannerService` each observe exactly the artifact
 //!    their request determines, store hits or not.
@@ -14,9 +14,10 @@
 //!    content under an equal registry key (a fingerprint collision or a
 //!    mutated graph) bumps the version and invalidates dependent
 //!    artifacts; the new handle can never be served the old oracle.
-//! 5. **Builds are cooperatively interruptible** — a token fired
-//!    mid-batch stops in-flight oracle builds between Thorup–Zwick
-//!    levels / cluster chunks instead of running them to completion.
+//! 5. **Builds are cooperatively interruptible** — a token fired while
+//!    concurrent oracle builds are in flight stops them between
+//!    Thorup–Zwick levels / cluster chunks instead of running them to
+//!    completion.
 //! 6. **Spanner construction itself is preemptible** — the token is
 //!    also checked between grow iterations (Baswana–Sen and the
 //!    general engine), so a mid-spanner cancel returns `Cancelled` in
@@ -25,14 +26,16 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use rayon::prelude::*;
+
 use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::edge::{Distance, Edge, EdgeId};
 use mpc_spanners::graph::generators::{connected_erdos_renyi, Family, WeightModel};
 use mpc_spanners::graph::Graph;
 use mpc_spanners::pipeline::{
-    Algorithm, Backend, BuildGuard, CancelToken, DistanceBatch, DistanceRequest, DistanceSketches,
-    HeapSize, OverloadPolicy, PipelineError, QueryEngine, ServiceConfig, ServiceJob,
-    SpannerRequest, SpannerService,
+    Algorithm, Backend, BuildGuard, CancelToken, DistanceRequest, DistanceSketches, HeapSize,
+    OverloadPolicy, PipelineError, QueryEngine, ServiceConfig, ServiceJob, SpannerRequest,
+    SpannerService,
 };
 
 fn params() -> TradeoffParams {
@@ -388,10 +391,13 @@ fn cancelled_mid_batch_build_stops_early() {
     let timing_reliable = full >= Duration::from_millis(200);
 
     // Three distinct builds; the token fires while they are in flight.
-    let batch = DistanceBatch::new()
-        .with(DistanceRequest::new(&g, algorithm).engine(engine).seed(2))
-        .with(DistanceRequest::new(&g, algorithm).engine(engine).seed(3))
-        .with(DistanceRequest::new(&g, algorithm).engine(engine).seed(4));
+    let requests: Vec<_> = (2..=4u64)
+        .map(|seed| {
+            DistanceRequest::new(&g, algorithm)
+                .engine(engine)
+                .seed(seed)
+        })
+        .collect();
     let token = CancelToken::new();
     let canceller = {
         let token = token.clone();
@@ -402,7 +408,10 @@ fn cancelled_mid_batch_build_stops_early() {
         })
     };
     let started = Instant::now();
-    let results = batch.build_with(&token);
+    let results: Vec<_> = requests
+        .par_iter()
+        .map(|request| request.build_with(&token))
+        .collect();
     let elapsed = started.elapsed();
     canceller.join().expect("canceller finishes");
 
